@@ -1,18 +1,14 @@
 /**
  * @file
- * Online calibration primitives: the live analogue of the paper's
+ * Online calibration window: the live analogue of the paper's
  * correct-fraction tables. A bound at confidence C must cover the
  * observed wait at least C of the time; CalibrationWindow keeps a
  * bounded chronological record of hit/miss outcomes for one predictor
- * entry so the service can report rolling empirical coverage, and
- * assessCalibration() turns a (hits, n) pair into a verdict — drift
- * from the requested confidence plus a one-sided binomial test that
- * flags an entry whose observed coverage is significantly below C.
+ * entry so the service can report rolling empirical coverage, which
+ * stats::assessCalibration() turns into a verdict.
  *
- * Everything here is deterministic and dependency-free (std only):
- * qdel_obs sits below qdel_stats in the link graph, so the binomial
- * tail is computed self-contained in log space via std::lgamma. Tests
- * cross-check it against stats::binomialCdf.
+ * Deterministic and dependency-free (std only): qdel_obs sits below
+ * qdel_stats in the link graph.
  */
 
 #ifndef QDEL_OBS_CALIBRATION_HH
@@ -25,14 +21,6 @@
 
 namespace qdel {
 namespace obs {
-
-/**
- * Lower-tail binomial CDF P[X <= k] for X ~ Binomial(n, p), exact
- * log-space summation of the pmf. Monotone in k, clamped to [0, 1].
- * For the window sizes used here (n <= a few hundred) the summation
- * is both fast and accurate to ~1e-12.
- */
-double binomialTailBelow(uint64_t k, uint64_t n, double p);
 
 /**
  * Fixed-capacity chronological ring of hit/miss outcomes for one
@@ -79,27 +67,6 @@ class CalibrationWindow
     std::size_t next_ = 0;  //!< overwrite cursor once full.
     std::size_t hits_ = 0;
 };
-
-/** assessCalibration() output for one entry. */
-struct CalibrationVerdict
-{
-    double coverage = -1.0;  //!< hits/n; -1 when n == 0.
-    double drift = 0.0;      //!< coverage - confidence (negative = bad).
-    double pValue = 1.0;     //!< P[X <= hits | n, confidence].
-    bool failing = false;    //!< significantly under-covering.
-};
-
-/**
- * Judge observed coverage against the requested confidence. The flag
- * trips when the one-sided binomial test rejects "true coverage >= C"
- * at level @p alpha, i.e. P[Bin(n, C) <= hits] < alpha, and at least
- * @p minSamples outcomes back the verdict (small n trivially passes:
- * no evidence is not evidence of failure).
- */
-CalibrationVerdict assessCalibration(std::size_t hits, std::size_t n,
-                                     double confidence,
-                                     std::size_t minSamples = 50,
-                                     double alpha = 1e-3);
 
 } // namespace obs
 } // namespace qdel

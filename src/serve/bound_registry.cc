@@ -17,6 +17,7 @@
 #include "persist/io.hh"
 #include "persist/state_codec.hh"
 #include "sim/replay/evaluation.hh"
+#include "stats/calibration.hh"
 #include "util/logging.hh"
 
 namespace qdel {
@@ -857,9 +858,9 @@ BoundRegistry::calibrationReport() const
                     static_cast<double>(row.scored);
             }
             row.windowCoverage = entry->calibWindow.coverage();
-            const obs::CalibrationVerdict verdict =
-                obs::assessCalibration(row.windowHits, row.windowCount,
-                                       options_.confidence);
+            const stats::CalibrationVerdict verdict =
+                stats::assessCalibration(row.windowHits, row.windowCount,
+                                         options_.confidence);
             row.drift = verdict.drift;
             row.pValue = verdict.pValue;
             row.failing = verdict.failing;

@@ -7,6 +7,7 @@
 
 #include "core/bmbp_predictor.hh"
 #include "core/lognormal_predictor.hh"
+#include "sim/replay/stream_replay.hh"
 
 namespace qdel {
 namespace sim {
@@ -31,34 +32,33 @@ evaluateTrace(const trace::Trace &t, const std::string &method,
     // run tryMakePredictor()/ReplayConfig::validate() on user input
     // first), so unwrapping here panics only on a programmer error.
     auto predictor = core::makePredictor(method, options);
-    ReplaySimulator simulator(config);
-    const ReplayResult outcome = simulator.run(t, *predictor).value();
-
-    EvaluationCell cell;
-    cell.jobs = t.size();
-    cell.evaluated = outcome.evaluatedJobs;
-    cell.correctFraction = outcome.correctFraction;
-    cell.medianRatio = outcome.medianRatio;
-    cell.trims = predictorTrimCount(*predictor);
-    return cell;
+    const ReplayResult r = ReplaySimulator(config).run(t, *predictor).value();
+    return {r.totalJobs, r.evaluatedJobs, r.correctFraction, r.medianRatio,
+            predictorTrimCount(*predictor)};
 }
 
 std::vector<EvaluationCell>
 evaluateByProcRange(const trace::Trace &t, const std::string &method,
                     const core::PredictorOptions &options,
-                    const ReplayConfig &config, size_t min_jobs)
+                    const ReplayConfig &config, size_t min_jobs,
+                    long long threads)
 {
+    StreamReplayConfig stream;
+    stream.epochSeconds = config.epochSeconds;
+    stream.trainFraction = config.trainFraction;
+    stream.threads = threads;
+    // Pre-validated inputs, as for evaluateTrace().
+    const StreamReplayResult outcome =
+        replayTrace(TraceCells(t, {""}, true), method, options, stream)
+            .value();
     std::vector<EvaluationCell> cells;
-    const trace::ProcRange *ranges = trace::paperProcRanges();
-    for (int r = 0; r < trace::paperProcRangeCount(); ++r) {
-        const trace::Trace sub = t.filterByProcRange(ranges[r]);
-        if (sub.size() < min_jobs) {
-            EvaluationCell cell;
-            cell.jobs = sub.size();
-            cells.push_back(cell);
-            continue;
-        }
-        cells.push_back(evaluateTrace(sub, method, options, config));
+    for (const QueueStreamResult &range : outcome.queues) {
+        const ReplayResult &r = range.result;
+        cells.push_back(r.totalJobs < min_jobs
+                            ? EvaluationCell{r.totalJobs}
+                            : EvaluationCell{r.totalJobs, r.evaluatedJobs,
+                                             r.correctFraction,
+                                             r.medianRatio, range.trims});
     }
     return cells;
 }

@@ -18,6 +18,18 @@
 namespace qdel {
 namespace sim {
 
+/** @return true when @p correct_fraction, rounded to two decimals as
+ *  the paper's tables print it, meets @p quantile ("0.95" is met). */
+inline bool
+meetsQuantile(double correct_fraction, double quantile)
+{
+    const double rounded =
+        static_cast<double>(
+            static_cast<long long>(correct_fraction * 100.0 + 0.5)) /
+        100.0;
+    return rounded >= quantile;
+}
+
 /** One cell of a paper results table. */
 struct EvaluationCell
 {
@@ -31,13 +43,7 @@ struct EvaluationCell
     bool
     correct(double quantile) const
     {
-        // Round to two decimals the way the paper's tables do, so a
-        // cell printing as "0.95" is not asterisked.
-        const double rounded =
-            static_cast<double>(
-                static_cast<long long>(correctFraction * 100.0 + 0.5)) /
-            100.0;
-        return rounded >= quantile;
+        return meetsQuantile(correctFraction, quantile);
     }
 };
 
@@ -68,15 +74,16 @@ EvaluationCell evaluateTrace(const trace::Trace &t,
 
 /**
  * Paper Section 6.2: subdivide @p t by the four Table-5 processor
- * ranges and evaluate each subdivision independently. Subdivisions
- * with fewer than @p min_jobs jobs are returned with jobs set but
- * evaluated == 0 (the paper prints "-" for those cells).
+ * ranges in one pass and evaluate each subdivision independently, on
+ * @p threads workers. Subdivisions with fewer than @p min_jobs jobs
+ * are returned with jobs set but evaluated == 0 (the paper prints "-"
+ * for those cells).
  */
 std::vector<EvaluationCell>
 evaluateByProcRange(const trace::Trace &t, const std::string &method,
                     const core::PredictorOptions &options,
                     const ReplayConfig &config = {},
-                    size_t min_jobs = 1000);
+                    size_t min_jobs = 1000, long long threads = 1);
 
 } // namespace sim
 } // namespace qdel

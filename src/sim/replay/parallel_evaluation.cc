@@ -48,31 +48,8 @@ ParallelEvaluator::evaluateByProcRange(const trace::Trace &t,
                                        const ReplayConfig &config,
                                        size_t min_jobs)
 {
-    const trace::ProcRange *ranges = trace::paperProcRanges();
-    std::vector<std::future<EvaluationCell>> futures;
-    futures.reserve(static_cast<size_t>(trace::paperProcRangeCount()));
-    for (int r = 0; r < trace::paperProcRangeCount(); ++r) {
-        const trace::ProcRange range = ranges[r];
-        futures.push_back(
-            pool_.submit([&t, &method, &options, &config, range,
-                          min_jobs] {
-                QDEL_OBS_SPAN(span,
-                              obs::replayMetrics().evalTaskSeconds,
-                              obs::EventType::Span, "eval_proc_range");
-                const trace::Trace sub = t.filterByProcRange(range);
-                if (sub.size() < min_jobs) {
-                    EvaluationCell cell;
-                    cell.jobs = sub.size();
-                    return cell;
-                }
-                return evaluateTrace(sub, method, options, config);
-            }));
-    }
-    std::vector<EvaluationCell> cells;
-    cells.reserve(futures.size());
-    for (auto &future : futures)
-        cells.push_back(future.get());
-    return cells;
+    return sim::evaluateByProcRange(t, method, options, config, min_jobs,
+                                    static_cast<long long>(pool_.size()));
 }
 
 } // namespace sim

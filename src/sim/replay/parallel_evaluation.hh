@@ -66,13 +66,7 @@ class ParallelEvaluator
     std::vector<EvaluationCell>
     evaluateSuite(const std::vector<EvaluationJob> &jobs);
 
-    /**
-     * Parallel drop-in for sim::evaluateByProcRange(): the four paper
-     * processor-range sub-traces are filtered and evaluated
-     * concurrently (one task per range, filtering inside the worker),
-     * results in range order. Cells below @p min_jobs come back with
-     * jobs set and evaluated == 0, exactly as the sequential helper.
-     */
+    /** sim::evaluateByProcRange() on threadCount() workers. */
     std::vector<EvaluationCell>
     evaluateByProcRange(const trace::Trace &t, const std::string &method,
                         const core::PredictorOptions &options,

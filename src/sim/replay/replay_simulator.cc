@@ -8,52 +8,18 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <functional>
-#include <limits>
 #include <optional>
+#include <type_traits>
 
-#include "obs/domain_metrics.hh"
-#include "obs/obs.hh"
 #include "persist/checkpoint.hh"
 #include "persist/io.hh"
 #include "persist/state_codec.hh"
-#include "stats/descriptive.hh"
+#include "sim/replay/replay_core.hh"
 
 namespace qdel {
 namespace sim {
 
 namespace {
-
-/** Pending-queue entry: a submitted job waiting to be released. */
-struct PendingRelease
-{
-    double time;  //!< Release (start) time: submit + wait.
-    double wait;  //!< The wait that becomes visible at release.
-
-    bool
-    operator>(const PendingRelease &other) const
-    {
-        return time > other.time;
-    }
-};
-
-/**
- * Everything the event loop needs to continue from a point mid-trace.
- * The pending releases are kept as a plain vector in heap order
- * (std::push_heap/pop_heap with the same comparator std::priority_queue
- * is specified in terms of) so the exact layout can be serialized and
- * restored — a resumed run pops releases in the identical order an
- * uninterrupted run would have.
- */
-struct LoopState
-{
-    size_t nextJob = 0;
-    bool trainingFinalized = false;
-    double nextRefit = 0.0;
-    double nextSnapshot = 0.0;
-    std::vector<PendingRelease> pending;
-    std::vector<double> ratios;
-};
 
 /** Bumped when the replay snapshot payload changes incompatibly. */
 constexpr uint32_t kReplayStateVersion = 1;
@@ -81,8 +47,7 @@ traceFingerprint(const trace::Trace &t)
 
 Expected<std::string>
 encodeReplayState(uint64_t fingerprint, const ReplayConfig &config,
-                  const ReplayProbe &probe, const LoopState &state,
-                  const ReplayResult &result,
+                  const ReplayProbe &probe, ReplayCore &core,
                   const core::Predictor &predictor)
 {
     persist::StateWriter writer;
@@ -102,26 +67,27 @@ encodeReplayState(uint64_t fingerprint, const ReplayConfig &config,
         writer.u8(upper ? 1 : 0);
     }
     // Driver position and accumulated results.
-    writer.u64(state.nextJob);
+    const ReplayCoreState &state = core.state();
+    writer.u64(state.processed);
     writer.u8(state.trainingFinalized ? 1 : 0);
     writer.f64(state.nextRefit);
     writer.f64(state.nextSnapshot);
-    writer.u64(result.evaluatedJobs);
-    writer.u64(result.correct);
-    writer.u64(result.infinitePredictions);
-    writer.doubles(state.ratios);
+    writer.u64(state.evaluated);
+    writer.u64(state.correct);
+    writer.u64(state.infinite);
+    writer.doubles(core.ratios().buffered());
     writer.u64(state.pending.size());
     for (const PendingRelease &release : state.pending) {
         writer.f64(release.time);
         writer.f64(release.wait);
     }
-    writer.u64(result.series.size());
-    for (const SeriesPoint &point : result.series) {
+    writer.u64(state.series.size());
+    for (const SeriesPoint &point : state.series) {
         writer.f64(point.time);
         writer.f64(point.value);
     }
-    writer.u64(result.snapshots.size());
-    for (const QuantileSnapshot &snap : result.snapshots) {
+    writer.u64(state.snapshots.size());
+    for (const QuantileSnapshot &snap : state.snapshots) {
         writer.f64(snap.time);
         writer.doubles(snap.values);
     }
@@ -132,7 +98,7 @@ encodeReplayState(uint64_t fingerprint, const ReplayConfig &config,
 
 /**
  * Inverse of encodeReplayState(). Parses into locals and commits to
- * @p state / @p result only when the whole payload (including the
+ * @p state / @p ratios only when the whole payload (including the
  * predictor sub-payload) verified — except the predictor itself, whose
  * loadState() commits as soon as *its* parse succeeds; the caller
  * tracks that via @p predictor_loaded and refuses to cold-start with a
@@ -141,8 +107,8 @@ encodeReplayState(uint64_t fingerprint, const ReplayConfig &config,
 Expected<Unit>
 decodeReplayState(const std::string &payload, uint64_t fingerprint,
                   size_t trace_size, const ReplayConfig &config,
-                  const ReplayProbe &probe, LoopState *state,
-                  ReplayResult *result, core::Predictor &predictor,
+                  const ReplayProbe &probe, ReplayCoreState *state,
+                  std::vector<double> *ratios, core::Predictor &predictor,
                   bool *predictor_loaded)
 {
     persist::StateReader reader(payload, "replay-snapshot");
@@ -151,116 +117,79 @@ decodeReplayState(const std::string &payload, uint64_t fingerprint,
         !ok.ok())
         return ok.error();
 
-    auto fp = reader.u64();
-    if (!fp.ok())
-        return fp.error();
-    if (fp.value() != fingerprint) {
+    // Every read after the first failure yields a zero value; the
+    // first error is returned before anything is committed.
+    std::optional<ParseError> error;
+    auto take = [&error](auto &&got) {
+        using T = std::decay_t<decltype(got.value())>;
+        if (got.ok())
+            return T(std::move(got).value());
+        if (!error)
+            error = got.error();
+        return T{};
+    };
+
+    const uint64_t fp = take(reader.u64());
+    if (!error && fp != fingerprint) {
         return ParseError{"", 0, "fingerprint",
                           "checkpoint was written for a different trace"};
     }
-
-    auto epoch_seconds = reader.f64();
-    auto train_fraction = reader.f64();
-    auto capture_series = reader.u8();
-    auto series_begin = reader.f64();
-    auto series_end = reader.f64();
-    auto snap_interval = reader.f64();
-    auto n_quantiles = reader.u64();
-    for (const ParseError *error :
-         {epoch_seconds.errorIf(), train_fraction.errorIf(),
-          capture_series.errorIf(), series_begin.errorIf(),
-          series_end.errorIf(), snap_interval.errorIf(),
-          n_quantiles.errorIf()}) {
-        if (error)
-            return *error;
+    bool same = take(reader.f64()) == config.epochSeconds;
+    same = take(reader.f64()) == config.trainFraction && same;
+    same = (take(reader.u8()) != 0) == probe.captureSeries && same;
+    same = take(reader.f64()) == probe.seriesBegin && same;
+    same = take(reader.f64()) == probe.seriesEnd && same;
+    same = take(reader.f64()) == probe.snapshotInterval && same;
+    const uint64_t n_quantiles = take(reader.u64());
+    same = n_quantiles == probe.snapshotQuantiles.size() && same;
+    for (uint64_t i = 0; i < n_quantiles && !error; ++i) {
+        const double q = take(reader.f64());
+        const bool upper = take(reader.u8()) != 0;
+        same = same && q == probe.snapshotQuantiles[i].first &&
+               upper == probe.snapshotQuantiles[i].second;
     }
-    bool probe_matches =
-        epoch_seconds.value() == config.epochSeconds &&
-        train_fraction.value() == config.trainFraction &&
-        (capture_series.value() != 0) == probe.captureSeries &&
-        series_begin.value() == probe.seriesBegin &&
-        series_end.value() == probe.seriesEnd &&
-        snap_interval.value() == probe.snapshotInterval &&
-        n_quantiles.value() == probe.snapshotQuantiles.size();
-    for (uint64_t i = 0; i < n_quantiles.value(); ++i) {
-        auto q = reader.f64();
-        auto upper = reader.u8();
-        for (const ParseError *error : {q.errorIf(), upper.errorIf()}) {
-            if (error)
-                return *error;
-        }
-        probe_matches = probe_matches &&
-                        q.value() == probe.snapshotQuantiles[i].first &&
-                        (upper.value() != 0) ==
-                            probe.snapshotQuantiles[i].second;
-    }
-    if (!probe_matches) {
+    if (error)
+        return *error;
+    if (!same) {
         return ParseError{"", 0, "config",
                           "checkpoint was written under a different "
                           "replay config or probe"};
     }
 
-    auto next_job = reader.u64();
-    auto finalized = reader.u8();
-    auto next_refit = reader.f64();
-    auto next_snapshot = reader.f64();
-    auto evaluated = reader.u64();
-    auto correct = reader.u64();
-    auto infinite = reader.u64();
-    auto ratios = reader.doubles();
-    auto n_pending = reader.u64();
-    for (const ParseError *error :
-         {next_job.errorIf(), finalized.errorIf(), next_refit.errorIf(),
-          next_snapshot.errorIf(), evaluated.errorIf(), correct.errorIf(),
-          infinite.errorIf(), ratios.errorIf(), n_pending.errorIf()}) {
-        if (error)
-            return *error;
-    }
-    if (next_job.value() > trace_size) {
+    ReplayCoreState decoded;
+    decoded.processed = take(reader.u64());
+    decoded.trainingFinalized = take(reader.u8()) != 0;
+    decoded.nextRefit = take(reader.f64());
+    decoded.nextSnapshot = take(reader.f64());
+    decoded.evaluated = take(reader.u64());
+    decoded.correct = take(reader.u64());
+    decoded.infinite = take(reader.u64());
+    std::vector<double> decoded_ratios = take(reader.doubles());
+    const uint64_t n_pending = take(reader.u64());
+    if (error)
+        return *error;
+    if (decoded.processed > trace_size) {
         return ParseError{"", 0, "nextJob",
                           "checkpoint is ahead of the trace (" +
-                              std::to_string(next_job.value()) + " > " +
+                              std::to_string(decoded.processed) + " > " +
                               std::to_string(trace_size) + " jobs)"};
     }
-    std::vector<PendingRelease> pending;
-    pending.reserve(static_cast<size_t>(n_pending.value()));
-    for (uint64_t i = 0; i < n_pending.value(); ++i) {
-        auto time = reader.f64();
-        auto wait = reader.f64();
-        for (const ParseError *error : {time.errorIf(), wait.errorIf()}) {
-            if (error)
-                return *error;
-        }
-        pending.push_back({time.value(), wait.value()});
+    for (uint64_t i = 0; i < n_pending && !error; ++i) {
+        const double time = take(reader.f64());
+        decoded.pending.push_back({time, take(reader.f64())});
     }
-    auto n_series = reader.u64();
-    if (!n_series.ok())
-        return n_series.error();
-    std::vector<SeriesPoint> series;
-    series.reserve(static_cast<size_t>(n_series.value()));
-    for (uint64_t i = 0; i < n_series.value(); ++i) {
-        auto time = reader.f64();
-        auto value = reader.f64();
-        for (const ParseError *error : {time.errorIf(), value.errorIf()}) {
-            if (error)
-                return *error;
-        }
-        series.push_back({time.value(), value.value()});
+    const uint64_t n_series = take(reader.u64());
+    for (uint64_t i = 0; i < n_series && !error; ++i) {
+        const double time = take(reader.f64());
+        decoded.series.push_back({time, take(reader.f64())});
     }
-    auto n_snapshots = reader.u64();
-    if (!n_snapshots.ok())
-        return n_snapshots.error();
-    std::vector<QuantileSnapshot> snapshots;
-    snapshots.reserve(static_cast<size_t>(n_snapshots.value()));
-    for (uint64_t i = 0; i < n_snapshots.value(); ++i) {
-        auto time = reader.f64();
-        if (!time.ok())
-            return time.error();
-        auto values = reader.doubles();
-        if (!values.ok())
-            return values.error();
-        snapshots.push_back({time.value(), std::move(values).value()});
+    const uint64_t n_snapshots = take(reader.u64());
+    for (uint64_t i = 0; i < n_snapshots && !error; ++i) {
+        const double time = take(reader.f64());
+        decoded.snapshots.push_back({time, take(reader.doubles())});
     }
+    if (error)
+        return *error;
 
     *predictor_loaded = true;  // loadState commits on its own success
     if (auto ok = predictor.loadState(reader); !ok.ok()) {
@@ -269,18 +198,8 @@ decodeReplayState(const std::string &payload, uint64_t fingerprint,
     }
     if (auto ok = reader.expectEnd(); !ok.ok())
         return ok.error();
-
-    state->nextJob = static_cast<size_t>(next_job.value());
-    state->trainingFinalized = finalized.value() != 0;
-    state->nextRefit = next_refit.value();
-    state->nextSnapshot = next_snapshot.value();
-    state->pending = std::move(pending);
-    state->ratios = std::move(ratios).value();
-    result->evaluatedJobs = static_cast<size_t>(evaluated.value());
-    result->correct = static_cast<size_t>(correct.value());
-    result->infinitePredictions = static_cast<size_t>(infinite.value());
-    result->series = std::move(series);
-    result->snapshots = std::move(snapshots);
+    *state = std::move(decoded);
+    *ratios = std::move(decoded_ratios);
     return Unit{};
 }
 
@@ -368,28 +287,15 @@ ReplaySimulator::run(const trace::Trace &t, core::Predictor &predictor,
             "ReplaySimulator: trace must be sorted by submission time"};
     }
 
-    ReplayResult result;
-    result.totalJobs = t.size();
     if (t.empty())
-        return result;
-
-    const size_t training =
-        static_cast<size_t>(config_.trainFraction *
-                            static_cast<double>(t.size()));
-    result.trainingJobs = training;
-
-    const double inf = std::numeric_limits<double>::infinity();
-    const bool epoch_per_job = config_.epochSeconds <= 0.0;
-
-    LoopState state;
-    state.nextRefit = epoch_per_job ? inf : t[0].submitTime;
-    state.nextSnapshot = probe.snapshotQuantiles.empty()
-                             ? inf
-                             : probe.seriesBegin;
+        return ReplayResult{};
+    ReplayCore core(predictor, t.size(), config_, probe);
+    core.arm(t[0].submitTime);  // the opening snapshot records the clock
 
     // --- Crash safety -------------------------------------------------
     std::optional<persist::CheckpointManager> manager;
     uint64_t fingerprint = 0;
+    std::vector<std::string> notes;  //!< Recovery-ladder decisions.
     if (ckpt.enabled()) {
         fingerprint = traceFingerprint(t);
         persist::CheckpointConfig cc;
@@ -409,6 +315,7 @@ ReplaySimulator::run(const trace::Trace &t, core::Predictor &predictor,
                     "resume it (--resume) or use a fresh directory"};
             }
             bool predictor_loaded = false;
+            std::vector<double> ratios;
             // A snapshot written for a different trace or under a
             // different config is a mismatch, not corruption: the
             // ladder must not degrade it into a silent cold start.
@@ -418,7 +325,8 @@ ReplaySimulator::run(const trace::Trace &t, core::Predictor &predictor,
                 [&](const std::string &payload) {
                     auto decoded = decodeReplayState(
                         payload, fingerprint, t.size(), config_, probe,
-                        &state, &result, predictor, &predictor_loaded);
+                        &core.state(), &ratios, predictor,
+                        &predictor_loaded);
                     if (!decoded.ok() && !incompatible &&
                         (decoded.error().field == "fingerprint" ||
                          decoded.error().field == "config")) {
@@ -428,18 +336,17 @@ ReplaySimulator::run(const trace::Trace &t, core::Predictor &predictor,
                 },
                 // The trace is the replay's input log: driver position
                 // cannot be advanced by WAL records, so resume is
-                // snapshot-only (the WAL serves predictor-only
-                // rehydration, see persist::PredictorStore).
+                // snapshot-only.
                 nullptr);
             if (!report.ok())
                 return report.error();
             if (incompatible)
                 return *incompatible;
-            result.recoveryNotes.push_back(
+            notes.push_back(
                 std::string("recovery source: ") +
                 persist::recoverySourceName(report.value().source));
-            for (const std::string &note : report.value().notes)
-                result.recoveryNotes.push_back(note);
+            notes.insert(notes.end(), report.value().notes.begin(),
+                         report.value().notes.end());
             if (report.value().source ==
                     persist::RecoverySource::ColdStart &&
                 predictor_loaded) {
@@ -448,16 +355,17 @@ ReplaySimulator::run(const trace::Trace &t, core::Predictor &predictor,
                     "no snapshot fully applied but the predictor was "
                     "partially restored; use a fresh predictor instance"};
             }
-            result.resumedFromJob = state.nextJob;
+            core.ratios().append(ratios.data(), ratios.size());
         } else if (ckpt.resume) {
-            result.recoveryNotes.push_back(
+            notes.push_back(
                 "resume requested but directory is pristine; cold start");
         }
+        core.logTo(*manager);
     }
 
     auto write_checkpoint = [&]() -> Expected<Unit> {
-        auto payload = encodeReplayState(fingerprint, config_, probe,
-                                         state, result, predictor);
+        auto payload =
+            encodeReplayState(fingerprint, config_, probe, core, predictor);
         if (!payload.ok())
             return payload.error();
         return manager->checkpoint(payload.value());
@@ -471,169 +379,41 @@ ReplaySimulator::run(const trace::Trace &t, core::Predictor &predictor,
             return ok.error();
     }
 
-    // --- Predictor mutations, WAL-logged when persistence is on ------
-    auto log_record = [&](persist::WalRecordType type,
-                          double value) -> Expected<Unit> {
-        if (!manager)
-            return Unit{};
-        return manager->appendRecord({type, value});
+    auto report_progress = [&]() {
+        const ReplayCoreState &state = core.state();
+        config_.onProgress(
+            {state.processed, t.size(), state.evaluated, state.correct});
     };
+    const bool progress =
+        config_.progressEveryJobs > 0 && config_.onProgress != nullptr;
+    const size_t interval = manager ? ckpt.intervalJobs : 0;
 
-    auto observe = [&](double wait) -> Expected<Unit> {
-        if (auto ok = log_record(persist::WalRecordType::Observation, wait);
+    // Feed the trace in chunks that end on every progress and
+    // checkpoint boundary, so both see the state after exactly that
+    // many jobs.
+    const size_t resumed = core.state().processed;
+    std::vector<double> submit, wait;
+    for (size_t next = resumed; next < t.size();) {
+        size_t end = std::min(t.size(), next + kChunkJobs);
+        for (size_t every : {progress ? config_.progressEveryJobs : 0,
+                             interval}) {
+            if (every > 0)
+                end = std::min(end, (next / every + 1) * every);
+        }
+        submit.clear();
+        wait.clear();
+        for (size_t i = next; i < end; ++i) {
+            submit.push_back(t[i].submitTime);
+            wait.push_back(t[i].waitSeconds);
+        }
+        if (auto ok = core.feed(submit.data(), wait.data(), end - next);
             !ok.ok())
             return ok.error();
-        predictor.observe(wait);
-        return Unit{};
-    };
+        next = end;
 
-    auto refit = [&]() -> Expected<Unit> {
-        if (auto ok = log_record(persist::WalRecordType::Refit, 0.0);
-            !ok.ok())
-            return ok.error();
-        predictor.refit();
-        return Unit{};
-    };
-
-    auto finalize_training = [&]() -> Expected<Unit> {
-        if (auto ok = log_record(persist::WalRecordType::FinalizeTraining,
-                                 0.0);
-            !ok.ok())
-            return ok.error();
-        predictor.finalizeTraining();
-        return Unit{};
-    };
-
-    if (state.ratios.capacity() < t.size() - training)
-        state.ratios.reserve(t.size() - training);
-
-    auto process_epoch = [&](double now) -> Expected<Unit> {
-        if (auto ok = refit(); !ok.ok())
-            return ok.error();
-        if (probe.captureSeries && now >= probe.seriesBegin &&
-            now < probe.seriesEnd) {
-            const auto bound = predictor.upperBound();
-            if (bound.finite())
-                result.series.push_back({now, bound.value});
-        }
-        return Unit{};
-    };
-
-    auto process_snapshot = [&](double now) {
-        QuantileSnapshot snap;
-        snap.time = now;
-        snap.values.reserve(probe.snapshotQuantiles.size());
-        for (const auto &[q, upper] : probe.snapshotQuantiles) {
-            const auto bound = predictor.boundAt(q, upper);
-            snap.values.push_back(bound.value);
-        }
-        result.snapshots.push_back(std::move(snap));
-    };
-
-    // Advance virtual time to `horizon`, processing releases, refit
-    // epochs, and snapshot ticks in chronological order.
-    auto advance_to = [&](double horizon) -> Expected<Unit> {
-        while (true) {
-            const double t_release =
-                state.pending.empty() ? inf : state.pending.front().time;
-            const double t_epoch = state.nextRefit;
-            const double t_snap = state.nextSnapshot;
-            const double now = std::min({t_release, t_epoch, t_snap});
-            if (now > horizon)
-                break;
-            if (t_release <= t_epoch && t_release <= t_snap) {
-                if (auto ok = observe(state.pending.front().wait);
-                    !ok.ok())
-                    return ok.error();
-                std::pop_heap(state.pending.begin(), state.pending.end(),
-                              std::greater<PendingRelease>{});
-                state.pending.pop_back();
-            } else if (t_epoch <= t_snap) {
-                if (auto ok = process_epoch(now); !ok.ok())
-                    return ok.error();
-                state.nextRefit += config_.epochSeconds;
-            } else {
-                if (now < probe.seriesEnd)
-                    process_snapshot(now);
-                state.nextSnapshot =
-                    now < probe.seriesEnd ? now + probe.snapshotInterval
-                                          : inf;
-            }
-        }
-        return Unit{};
-    };
-
-    for (size_t i = state.nextJob; i < t.size(); ++i) {
-        const trace::JobRecord &job = t[i];
-        if (auto ok = advance_to(job.submitTime); !ok.ok())
-            return ok.error();
-
-        if (epoch_per_job) {
-            if (auto ok = refit(); !ok.ok())
-                return ok.error();
-        }
-
-        if (!state.trainingFinalized && i >= training) {
-            if (auto ok = finalize_training(); !ok.ok())
-                return ok.error();
-            // Re-arm with the post-training state so the first scored
-            // job sees a trained model even for epoch-based refits.
-            if (auto ok = refit(); !ok.ok())
-                return ok.error();
-            state.trainingFinalized = true;
-        }
-
-        if (i >= training) {
-            const auto bound = predictor.upperBound();
-            ++result.evaluatedJobs;
-            QDEL_OBS({
-                obs::replayMetrics().predictions.inc();
-                obs::events().emit(obs::EventType::PredictionIssued,
-                                   bound.value, job.waitSeconds);
-            });
-            if (!bound.finite()) {
-                ++result.infinitePredictions;
-                ++result.correct;
-                QDEL_OBS(
-                    obs::replayMetrics().infinitePredictions.inc());
-            } else {
-                if (bound.value >= job.waitSeconds) {
-                    ++result.correct;
-                    QDEL_OBS({
-                        obs::replayMetrics().boundHits.inc();
-                        obs::events().emit(obs::EventType::BoundHit,
-                                           bound.value,
-                                           job.waitSeconds);
-                    });
-                } else {
-                    QDEL_OBS({
-                        obs::replayMetrics().boundMisses.inc();
-                        obs::events().emit(obs::EventType::BoundMiss,
-                                           bound.value,
-                                           job.waitSeconds);
-                    });
-                }
-                state.ratios.push_back(job.waitSeconds /
-                                       std::max(bound.value, 1e-9));
-            }
-        }
-
-        state.pending.push_back(
-            {job.submitTime + job.waitSeconds, job.waitSeconds});
-        std::push_heap(state.pending.begin(), state.pending.end(),
-                       std::greater<PendingRelease>{});
-        state.nextJob = i + 1;
-        QDEL_OBS(obs::replayMetrics().jobsProcessed.inc());
-
-        if (config_.progressEveryJobs > 0 && config_.onProgress &&
-            state.nextJob % config_.progressEveryJobs == 0) {
-            config_.onProgress({state.nextJob, t.size(),
-                                result.evaluatedJobs, result.correct});
-        }
-
-        if (manager && ckpt.intervalJobs > 0 &&
-            state.nextJob % ckpt.intervalJobs == 0 &&
-            state.nextJob < t.size()) {
+        if (progress && next % config_.progressEveryJobs == 0)
+            report_progress();
+        if (interval > 0 && next % interval == 0 && next < t.size()) {
             if (auto ok = write_checkpoint(); !ok.ok())
                 return ok.error();
         }
@@ -644,7 +424,7 @@ ReplaySimulator::run(const trace::Trace &t, core::Predictor &predictor,
     // stay live. Idempotent on resume: a re-drained run finds every
     // event at or before the window end already consumed.
     if (probe.captureSeries || !probe.snapshotQuantiles.empty()) {
-        if (auto ok = advance_to(probe.seriesEnd); !ok.ok())
+        if (auto ok = core.advanceTo(probe.seriesEnd); !ok.ok())
             return ok.error();
     }
 
@@ -654,19 +434,15 @@ ReplaySimulator::run(const trace::Trace &t, core::Predictor &predictor,
             return ok.error();
     }
 
-    if (config_.progressEveryJobs > 0 && config_.onProgress) {
-        config_.onProgress({state.nextJob, t.size(),
-                            result.evaluatedJobs, result.correct});
-    }
+    if (progress)
+        report_progress();
 
-    if (result.evaluatedJobs > 0) {
-        result.correctFraction =
-            static_cast<double>(result.correct) /
-            static_cast<double>(result.evaluatedJobs);
-    }
-    if (!state.ratios.empty())
-        result.medianRatio = stats::median(std::move(state.ratios));
-    return result;
+    auto finished = core.finish();
+    if (!finished.ok())
+        return finished.error();
+    finished.value().resumedFromJob = resumed;
+    finished.value().recoveryNotes = std::move(notes);
+    return finished;
 }
 
 } // namespace sim

@@ -2,21 +2,14 @@
  * @file
  * Trace-replay, event-driven evaluation simulator (paper Section 5.1).
  *
- * Replays a job trace against a Predictor under the exact information
- * constraints of a live deployment:
- *  - a job's wait time enters the predictor's history only when the
- *    job is released for execution (submit + wait), never earlier;
- *  - the prediction given to an arriving job is the value computed at
- *    the last refit epoch (default: every 300 virtual seconds,
- *    modeling periodic batch-queue "dumps"; epoch 0 refits before
- *    every arrival);
- *  - the first trainFraction of jobs (default 10%) only warms up the
- *    history and is not scored.
- *
- * For each scored job the simulator records success (prediction >=
- * actual wait, the paper's correctness criterion) and the ratio
- * actual/predicted whose median is the paper's accuracy measure
- * (Table 4).
+ * Replays a job trace against a Predictor under the information
+ * constraints of a live deployment, on one ReplayCore (replay_core.hh,
+ * the shared core that states the rule and that the multi-queue
+ * engines run too), and adds validation, progress reporting, probes
+ * and crash safety around it. Each scored job records success
+ * (prediction >= actual wait, the paper's correctness criterion) and
+ * the ratio actual/predicted whose median is the paper's accuracy
+ * measure (Table 4).
  */
 
 #ifndef QDEL_SIM_REPLAY_REPLAY_SIMULATOR_HH
@@ -69,9 +62,7 @@ struct ReplayConfig
  * between, and — with resume = true — restarts from the newest
  * recoverable snapshot, producing byte-identical results to an
  * uninterrupted run. The trace itself is the replay's input log, so
- * resume recovers from snapshots only; the WAL exists so the predictor
- * alone can also be rehydrated from the directory (see
- * persist::PredictorStore).
+ * resume recovers from snapshots only.
  */
 struct ReplayCheckpointOptions
 {
@@ -162,6 +153,10 @@ struct ReplayResult
 class ReplaySimulator
 {
   public:
+    /** Jobs per core feed; chunks also end on every progress and
+     *  checkpoint boundary. Results do not depend on it. */
+    static constexpr size_t kChunkJobs = 4096;
+
     /** Store @p config; validation happens in run(). */
     explicit ReplaySimulator(ReplayConfig config = {});
 

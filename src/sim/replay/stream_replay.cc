@@ -1,23 +1,23 @@
 /**
  * @file
- * Implementation of the out-of-core streaming replay evaluator.
+ * Implementation of the multi-queue replay engine.
  */
 
 #include "sim/replay/stream_replay.hh"
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <filesystem>
-#include <functional>
 #include <future>
-#include <limits>
 #include <memory>
+#include <optional>
+#include <unordered_map>
 
+#include "core/rare_event.hh"
 #include "obs/domain_metrics.hh"
 #include "obs/obs.hh"
 #include "sim/replay/evaluation.hh"
-#include "stats/spill_doubles.hh"
+#include "sim/replay/replay_core.hh"
 #include "util/resource_usage.hh"
 #include "util/thread_pool.hh"
 
@@ -29,21 +29,6 @@ namespace qdel {
 namespace sim {
 
 namespace {
-
-constexpr double kInf = std::numeric_limits<double>::infinity();
-
-/** Mirror of the replay simulator's pending-queue entry. */
-struct PendingRelease
-{
-    double time;  //!< Release (start) time: submit + wait.
-    double wait;  //!< The wait that becomes visible at release.
-
-    bool
-    operator>(const PendingRelease &other) const
-    {
-        return time > other.time;
-    }
-};
 
 /** RSS sampling cadence, in batches (plus once per shard change). */
 constexpr size_t kRssSampleEveryBatches = 32;
@@ -64,197 +49,135 @@ spillFilePath(const std::string &dir, uint64_t serial, size_t queue_id)
 }
 
 /**
- * The replay event loop of exactly one queue, consuming (submit, wait)
- * runs in global order. State and event ordering mirror
- * ReplaySimulator::run() on the queue-filtered trace line for line;
- * the only differences are batched predictor entry points (see the
- * header's semantics contract) and spill-backed ratios.
+ * The multi-queue engine: one predictor and one ReplayCore per queue,
+ * all sharing one rare-event table. feed() takes rows of many queues in
+ * global submission order, scatters them into per-queue runs (order
+ * preserving within each queue) and evaluates the touched queues
+ * concurrently, joining before it returns.
  */
-class QueueCore
+class QueueFanout
 {
   public:
-    QueueCore(std::unique_ptr<core::Predictor> predictor,
-              size_t queue_total, const StreamReplayConfig &config,
-              std::string spill_path)
-        : predictor_(std::move(predictor)),
-          epochSeconds_(config.epochSeconds),
-          epochPerJob_(config.epochSeconds <= 0.0),
-          training_(static_cast<size_t>(
-              config.trainFraction * static_cast<double>(queue_total))),
-          queueTotal_(queue_total),
-          ratios_(std::move(spill_path), config.spillThresholdDoubles)
+    QueueFanout(const std::string &method,
+                const core::PredictorOptions &options,
+                const StreamReplayConfig &config)
+        : method_(method),
+          options_(options),
+          config_(config),
+          serial_(spillSerial.fetch_add(1, std::memory_order_relaxed)),
+          pool_(ThreadPool::resolveThreadCount(config.threads))
     {
+        if (options_.rareEventTable == nullptr) {
+            table_ = std::make_unique<core::RareEventTable>(
+                options_.quantile, 0.05);
+            options_.rareEventTable = table_.get();
+        }
+        std::error_code ec;
+        spillDir_ = !config.spillDir.empty() ? config.spillDir
+                    : std::filesystem::temp_directory_path(ec).string();
+        if (ec)
+            spillDir_ = ".";
     }
 
-    /** Feed the next @p n rows of this queue, in submission order. */
-    void
-    processRows(const double *submit, const double *wait, size_t n)
+    /** Add the next queue, of @p total jobs in all. */
+    Expected<Unit>
+    addQueue(const std::string &name, size_t total)
     {
-        if (!armed_ && n > 0) {
-            // state.nextRefit = epoch_per_job ? inf : t[0].submitTime
-            nextRefit_ = epochPerJob_ ? kInf : submit[0];
-            armed_ = true;
-        }
-        ratioScratch_.resize(std::max(ratioScratch_.size(), n));
-
-        size_t r = 0;
-        while (r < n) {
-            advanceTo(submit[r]);
-
-            if (epochPerJob_)
-                predictor_->refit();
-
-            const size_t i = processed_ + r;
-            if (!trainingFinalized_ && i >= training_) {
-                predictor_->finalizeTraining();
-                predictor_->refit();
-                trainingFinalized_ = true;
-            }
-
-            // Extend a run of jobs that see no event (release or
-            // epoch) between their submits: the bound is frozen over
-            // the run, so it scores with one scoreBatch call. Events
-            // fire at times <= submit (inclusive), hence strict <;
-            // each job's own release joins the horizon because it can
-            // fire before a zero/short-wait successor.
-            size_t s = r + 1;
-            if (!epochPerJob_) {
-                double horizon =
-                    std::min(pending_.empty() ? kInf
-                                              : pending_.front().time,
-                             nextRefit_);
-                horizon = std::min(horizon, submit[r] + wait[r]);
-                const size_t limit =
-                    trainingFinalized_ ? n
-                                       : std::min(n, r + (training_ - i));
-                while (s < limit && submit[s] < horizon) {
-                    horizon = std::min(horizon, submit[s] + wait[s]);
-                    ++s;
-                }
-            }
-            const size_t count = s - r;
-
-            if (i >= training_) {
-                const auto score = predictor_->scoreBatch(
-                    wait + r, count, ratioScratch_.data());
-                evaluated_ += count;
-                correct_ += score.correct;
-                infinite_ += score.infinite;
-                if (score.infinite == 0)
-                    ratios_.append(ratioScratch_.data(), count);
-                QDEL_OBS({
-                    obs::replayMetrics().predictions.inc(count);
-                    if (score.infinite > 0) {
-                        obs::replayMetrics().infinitePredictions.inc(
-                            score.infinite);
-                    } else {
-                        obs::replayMetrics().boundHits.inc(score.correct);
-                        obs::replayMetrics().boundMisses.inc(
-                            count - score.correct);
-                    }
-                });
-            }
-
-            for (size_t k = r; k < s; ++k) {
-                pending_.push_back({submit[k] + wait[k], wait[k]});
-                std::push_heap(pending_.begin(), pending_.end(),
-                               std::greater<PendingRelease>{});
-            }
-            QDEL_OBS(obs::replayMetrics().jobsProcessed.inc(count));
-            r = s;
-        }
-        processed_ += n;
+        auto predictor = core::tryMakePredictor(method_, options_);
+        if (!predictor.ok())
+            return predictor.error();
+        auto lane = std::make_unique<Lane>();
+        lane->name = name;
+        lane->predictor = std::move(predictor).value();
+        lane->core = std::make_unique<ReplayCore>(
+            *lane->predictor, total,
+            ReplayConfig{config_.epochSeconds, config_.trainFraction},
+            ReplayProbe{}, spillFilePath(spillDir_, serial_, lanes_.size()),
+            config_.spillThresholdDoubles);
+        lanes_.push_back(std::move(lane));
+        return Unit{};
     }
 
-    /** Close out the queue and assemble its ReplayResult. */
-    Expected<QueueStreamResult>
-    finish(const std::string &queue_name)
+    /** Feed @p n rows; @p queue[i] indexes the queues added. */
+    Expected<Unit>
+    feed(const double *submit, const double *wait, const uint32_t *queue,
+         size_t n)
     {
-        QueueStreamResult out;
-        out.queue = queue_name;
-        out.result.totalJobs = queueTotal_;
-        if (queueTotal_ == 0)
-            return out;
-        out.result.trainingJobs = training_;
-        out.result.evaluatedJobs = evaluated_;
-        out.result.correct = correct_;
-        out.result.infinitePredictions = infinite_;
-        if (evaluated_ > 0) {
-            out.result.correctFraction =
-                static_cast<double>(correct_) /
-                static_cast<double>(evaluated_);
+        // Single queue: evaluate straight off the caller's columns.
+        if (lanes_.size() == 1)
+            return lanes_[0]->core->feed(submit, wait, n);
+
+        for (size_t row = 0; row < n; ++row) {
+            lanes_[queue[row]]->submit.push_back(submit[row]);
+            lanes_[queue[row]]->wait.push_back(wait[row]);
         }
-        if (ratios_.size() > 0) {
-            auto median = ratios_.median();
-            if (!median.ok())
-                return median.error();
-            out.result.medianRatio = median.value();
+        std::vector<std::future<Expected<Unit>>> joins;
+        for (auto &lane : lanes_) {
+            if (lane->submit.empty())
+                continue;
+            joins.push_back(pool_.submit([&lane] {
+                auto ok = lane->core->feed(lane->submit.data(),
+                                           lane->wait.data(),
+                                           lane->submit.size());
+                lane->submit.clear();
+                lane->wait.clear();
+                return ok;
+            }));
         }
-        out.trims = predictorTrimCount(*predictor_);
+        std::optional<ParseError> error;
+        for (auto &join : joins) {
+            if (auto ok = join.get(); !ok.ok() && !error)
+                error = ok.error();
+        }
+        if (error)
+            return *error;
+        return Unit{};
+    }
+
+    /** @p done of @p total rows fed, with the scores so far. */
+    ReplayProgress
+    progress(size_t done, size_t total) const
+    {
+        ReplayProgress out{done, total, 0, 0};
+        for (const auto &lane : lanes_) {
+            out.evaluated += lane->core->state().evaluated;
+            out.correct += lane->core->state().correct;
+        }
         return out;
     }
 
-  private:
-    /**
-     * Process events with time <= @p horizon in chronological order,
-     * releases before an epoch at the same instant — the simulator's
-     * advance_to(), with runs of releases between epoch ticks gathered
-     * into one observeBatch call (same pop order, same trim behaviour).
-     */
-    void
-    advanceTo(double horizon)
+    /** Close every queue out into @p out, in the order they were added. */
+    Expected<Unit>
+    finish(std::vector<QueueStreamResult> *out)
     {
-        while (true) {
-            const double t_release =
-                pending_.empty() ? kInf : pending_.front().time;
-            const double now = std::min(t_release, nextRefit_);
-            if (now > horizon)
-                break;
-            if (t_release <= nextRefit_) {
-                waitScratch_.clear();
-                const double cap = std::min(horizon, nextRefit_);
-                while (!pending_.empty() &&
-                       pending_.front().time <= cap) {
-                    waitScratch_.push_back(pending_.front().wait);
-                    std::pop_heap(pending_.begin(), pending_.end(),
-                                  std::greater<PendingRelease>{});
-                    pending_.pop_back();
-                }
-                predictor_->observeBatch(waitScratch_.data(),
-                                         waitScratch_.size());
-            } else {
-                predictor_->refit();
-                nextRefit_ += epochSeconds_;
-            }
+        for (auto &lane : lanes_) {
+            auto result = lane->core->finish();
+            if (!result.ok())
+                return result.error();
+            out->push_back({lane->name, std::move(result).value(),
+                            predictorTrimCount(*lane->predictor)});
         }
+        return Unit{};
     }
 
-    std::unique_ptr<core::Predictor> predictor_;
-    const double epochSeconds_;
-    const bool epochPerJob_;
-    const size_t training_;
-    const size_t queueTotal_;
+  private:
+    struct Lane
+    {
+        std::string name;
+        std::unique_ptr<core::Predictor> predictor;
+        std::unique_ptr<ReplayCore> core;
+        std::vector<double> submit;  //!< This batch's rows of the queue.
+        std::vector<double> wait;
+    };
 
-    bool armed_ = false;
-    double nextRefit_ = kInf;
-    size_t processed_ = 0;
-    bool trainingFinalized_ = false;
-    std::vector<PendingRelease> pending_;
-
-    size_t evaluated_ = 0;
-    size_t correct_ = 0;
-    size_t infinite_ = 0;
-    stats::SpillDoubles ratios_;
-
-    std::vector<double> ratioScratch_;
-    std::vector<double> waitScratch_;
-};
-
-/** Reusable per-queue (submit, wait) staging for multi-queue batches. */
-struct QueueRun
-{
-    std::vector<double> submit;
-    std::vector<double> wait;
+    const std::string &method_;
+    core::PredictorOptions options_;
+    const StreamReplayConfig &config_;
+    const uint64_t serial_;
+    std::unique_ptr<core::RareEventTable> table_;
+    std::string spillDir_;
+    std::vector<std::unique_ptr<Lane>> lanes_;
+    ThreadPool pool_;
 };
 
 } // namespace
@@ -262,10 +185,8 @@ struct QueueRun
 Expected<Unit>
 StreamReplayConfig::validate() const
 {
-    ReplayConfig replay;
-    replay.epochSeconds = epochSeconds;
-    replay.trainFraction = trainFraction;
-    if (auto ok = replay.validate(); !ok.ok())
+    if (auto ok = ReplayConfig{epochSeconds, trainFraction}.validate();
+        !ok.ok())
         return ok.error();
     if (batchSize == 0) {
         return ParseError{"", 0, "batchSize",
@@ -282,40 +203,18 @@ replayStream(trace::StreamingTraceReader &reader, const std::string &method,
     if (auto valid = config.validate(); !valid.ok())
         return valid.error();
 
-    std::string spill_dir = config.spillDir;
-    if (spill_dir.empty()) {
-        std::error_code ec;
-        auto tmp = std::filesystem::temp_directory_path(ec);
-        spill_dir = ec ? "." : tmp.string();
-    }
-    const uint64_t serial =
-        spillSerial.fetch_add(1, std::memory_order_relaxed);
-
-    const auto &queue_names = reader.queueNames();
-    const auto &queue_totals = reader.queueJobCounts();
-    const size_t n_queues = queue_names.size();
-
-    std::vector<std::unique_ptr<QueueCore>> cores;
-    cores.reserve(n_queues);
-    for (size_t q = 0; q < n_queues; ++q) {
-        auto predictor = core::tryMakePredictor(method, options);
-        if (!predictor.ok())
-            return predictor.error();
-        cores.push_back(std::make_unique<QueueCore>(
-            std::move(predictor).value(),
-            static_cast<size_t>(queue_totals[q]), config,
-            spillFilePath(spill_dir, serial, q)));
+    QueueFanout fanout(method, options, config);
+    for (size_t q = 0; q < reader.queueNames().size(); ++q) {
+        if (auto ok = fanout.addQueue(reader.queueNames()[q],
+                                      reader.queueJobCounts()[q]);
+            !ok.ok())
+            return ok.error();
     }
 
     StreamReplayResult result;
     result.site = reader.site();
     result.machine = reader.machine();
     result.shards = reader.shardCount();
-
-    ThreadPool pool(ThreadPool::resolveThreadCount(config.threads));
-    std::vector<QueueRun> runs(n_queues);
-    std::vector<size_t> touched;
-    touched.reserve(n_queues);
 
     size_t shards_completed = 0;
     size_t last_shard = 0;
@@ -344,45 +243,10 @@ replayStream(trace::StreamingTraceReader &reader, const std::string &method,
         ++result.batches;
         QDEL_OBS(obs::replayMetrics().batches.inc());
 
-        if (n_queues == 1) {
-            // Single queue: evaluate straight off the mapped columns.
-            cores[0]->processRows(batch.submit, batch.wait, batch.size);
-        } else {
-            // Scatter the batch into per-queue runs (order-preserving
-            // within each queue), then fan the touched queues out and
-            // join before the next batch invalidates the columns.
-            touched.clear();
-            for (size_t row = 0; row < batch.size; ++row) {
-                QueueRun &run = runs[batch.queueId[row]];
-                if (run.submit.empty())
-                    touched.push_back(batch.queueId[row]);
-                run.submit.push_back(batch.submit[row]);
-                run.wait.push_back(batch.wait[row]);
-            }
-            if (touched.size() == 1 || pool.size() == 1) {
-                for (size_t q : touched) {
-                    cores[q]->processRows(runs[q].submit.data(),
-                                          runs[q].wait.data(),
-                                          runs[q].submit.size());
-                }
-            } else {
-                std::vector<std::future<void>> joins;
-                joins.reserve(touched.size());
-                for (size_t q : touched) {
-                    joins.push_back(pool.submit([&, q] {
-                        cores[q]->processRows(runs[q].submit.data(),
-                                              runs[q].wait.data(),
-                                              runs[q].submit.size());
-                    }));
-                }
-                for (auto &join : joins)
-                    join.get();
-            }
-            for (size_t q : touched) {
-                runs[q].submit.clear();
-                runs[q].wait.clear();
-            }
-        }
+        if (auto ok = fanout.feed(batch.submit, batch.wait, batch.queueId,
+                                  batch.size);
+            !ok.ok())
+            return ok.error();
 
         const size_t shard = reader.currentShard();
         if (shard != last_shard) {
@@ -398,14 +262,107 @@ replayStream(trace::StreamingTraceReader &reader, const std::string &method,
 
     shards_completed = reader.shardCount();
     sample_memory();
+    if (auto ok = fanout.finish(&result.queues); !ok.ok())
+        return ok.error();
+    return result;
+}
 
-    result.queues.reserve(n_queues);
-    for (size_t q = 0; q < n_queues; ++q) {
-        auto finished = cores[q]->finish(queue_names[q]);
-        if (!finished.ok())
-            return finished.error();
-        result.queues.push_back(std::move(finished).value());
+TraceCells::TraceCells(const trace::Trace &t, std::vector<std::string> queues,
+                       bool by_procs)
+    : trace_(t),
+      queues_(std::move(queues)),
+      ranges_(by_procs ? static_cast<size_t>(trace::paperProcRangeCount())
+                       : 1),
+      cell_(t.size(), kNone),
+      jobs_(queues_.size() * ranges_, 0)
+{
+    std::unordered_map<std::string, uint32_t> index;
+    for (size_t q = 0; q < queues_.size(); ++q)
+        index.emplace(queues_[q], static_cast<uint32_t>(q));
+    if (const auto it = index.find(""); it != index.end())
+        all_ = it->second;
+    for (size_t i = 0; i < t.size(); ++i) {
+        if (const auto it = index.find(t[i].queue); it != index.end())
+            cell_[i] = static_cast<uint32_t>(cellOf(it->second, t[i].procs));
     }
+    forEach([this](size_t cell, const trace::JobRecord &) { ++jobs_[cell]; });
+}
+
+size_t
+TraceCells::cellOf(size_t q, int procs) const
+{
+    if (ranges_ == 1)
+        return q;
+    const trace::ProcRange *ranges = trace::paperProcRanges();
+    for (size_t r = 0; r < ranges_; ++r) {
+        if (ranges[r].contains(procs))
+            return q * ranges_ + r;
+    }
+    return kNone;
+}
+
+Expected<StreamReplayResult>
+replayTrace(const TraceCells &cells, const std::string &method,
+            const core::PredictorOptions &options,
+            const StreamReplayConfig &config, size_t progress_every,
+            const std::function<void(const ReplayProgress &)> &on_progress)
+{
+    if (auto valid = config.validate(); !valid.ok())
+        return valid.error();
+    if (!cells.trace().isSorted()) {
+        return ParseError{"", 0, "trace",
+                          "replayTrace: trace must be sorted by submission "
+                          "time"};
+    }
+    QueueFanout fanout(method, options, config);
+    size_t total = 0;
+    for (size_t c = 0; c < cells.size(); ++c) {
+        total += cells.jobs(c);
+        if (auto ok = fanout.addQueue(cells.queue(c), cells.jobs(c));
+            !ok.ok())
+            return ok.error();
+    }
+
+    StreamReplayResult result;
+    result.site = cells.trace().site();
+    result.machine = cells.trace().machine();
+    const bool progress = progress_every > 0 && on_progress != nullptr;
+    std::vector<double> submit, wait;
+    std::vector<uint32_t> cell_ids;
+    std::optional<ParseError> error;
+    // Batches also end on every progress boundary.
+    auto flush = [&]() {
+        if (submit.empty() || error)
+            return;
+        if (auto ok = fanout.feed(submit.data(), wait.data(),
+                                  cell_ids.data(), submit.size());
+            !ok.ok())
+            error = ok.error();
+        result.totalJobs += submit.size();
+        ++result.batches;
+        submit.clear();
+        wait.clear();
+        cell_ids.clear();
+        if (progress && result.totalJobs % progress_every == 0)
+            on_progress(fanout.progress(result.totalJobs, total));
+    };
+    cells.forEach([&](size_t cell, const trace::JobRecord &job) {
+        submit.push_back(job.submitTime);
+        wait.push_back(job.waitSeconds);
+        cell_ids.push_back(static_cast<uint32_t>(cell));
+        if (submit.size() == config.batchSize ||
+            (progress &&
+             (result.totalJobs + submit.size()) % progress_every == 0))
+            flush();
+    });
+    flush();
+    if (error)
+        return *error;
+    if (progress)
+        on_progress(fanout.progress(result.totalJobs, total));
+    result.peakResidentBytes = util::currentResidentBytes();
+    if (auto ok = fanout.finish(&result.queues); !ok.ok())
+        return ok.error();
     return result;
 }
 

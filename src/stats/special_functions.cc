@@ -8,6 +8,8 @@
 #include <cmath>
 #include <limits>
 
+#include <math.h>
+
 #include "util/logging.hh"
 
 namespace qdel {
@@ -67,13 +69,16 @@ betaContinuedFraction(double a, double b, double x)
 double
 logGamma(double x)
 {
-    return std::lgamma(x);
+    // lgamma_r, not std::lgamma: lgamma also writes the global signgam,
+    // a data race when replays refit predictors on pool threads.
+    int sign = 0;
+    return ::lgamma_r(x, &sign);
 }
 
 double
 logBeta(double a, double b)
 {
-    return std::lgamma(a) + std::lgamma(b) - std::lgamma(a + b);
+    return logGamma(a) + logGamma(b) - logGamma(a + b);
 }
 
 double

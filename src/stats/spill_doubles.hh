@@ -57,6 +57,9 @@ class SpillDoubles
     size_t size() const { return count_; }
     bool spilled() const { return file_ != nullptr; }
 
+    /** The values held in RAM: every value while !spilled(). */
+    const std::vector<double> &buffered() const { return buffer_; }
+
     /**
      * Exact median with stats::median() semantics (type-7 interpolation
      * of the two central order statistics). Errors on an empty sample

@@ -16,6 +16,7 @@
 #include "core/bmbp_predictor.hh"
 #include "persist/fault_injection.hh"
 #include "persist/io.hh"
+#include "persist/state_codec.hh"
 #include "sim/replay/evaluation.hh"
 #include "sim/replay/replay_simulator.hh"
 
@@ -184,6 +185,58 @@ TEST(ReplayCheckpoint, CrashMidRunThenResumeIsByteIdentical)
               std::string::npos);
     expectSameResult(plain, resumed.value());
     EXPECT_EQ(predictorTrimCount(*predictor), plain_trims);
+}
+
+TEST(ReplayCheckpoint, IntervalNotDividingTheChunkResumesByteIdentical)
+{
+    // Snapshots every 1000 jobs fall mid-chunk (4096-job chunks), so
+    // the adapter must cut its chunks at them; a crash and resume must
+    // still reproduce the plain run and the predictor's state bit for
+    // bit.
+    fault::reset();
+    ASSERT_NE(ReplaySimulator::kChunkJobs % 1000, 0u);
+    const trace::Trace t = makeTrace(3 * ReplaySimulator::kChunkJobs + 123);
+    auto plain_predictor = makePredictor();
+    const ReplayResult plain =
+        ReplaySimulator({300.0, 0.10})
+            .run(t, *plain_predictor, makeProbe())
+            .value();
+    auto ckpt = [](const std::string &dir, bool resume) {
+        ReplayCheckpointOptions options = makeCkpt(dir, resume);
+        options.intervalJobs = 1000;
+        return options;
+    };
+
+    {
+        auto predictor = makePredictor();
+        ASSERT_TRUE(ReplaySimulator({300.0, 0.10})
+                        .run(t, *predictor, makeProbe(),
+                             ckpt(freshDir("oddchunk_profile"), false))
+                        .ok());
+    }
+    const uint64_t total_ops = fault::opCount();
+    const std::string dir = freshDir("oddchunk");
+    fault::configure({fault::Kind::ShortWrite, total_ops / 2, 11});
+    {
+        auto victim = makePredictor();
+        ASSERT_FALSE(ReplaySimulator({300.0, 0.10})
+                         .run(t, *victim, makeProbe(), ckpt(dir, false))
+                         .ok());
+    }
+    fault::reset();
+
+    auto predictor = makePredictor();
+    auto resumed = ReplaySimulator({300.0, 0.10})
+                       .run(t, *predictor, makeProbe(), ckpt(dir, true));
+    ASSERT_TRUE(resumed.ok()) << resumed.error().str();
+    EXPECT_GT(resumed.value().resumedFromJob, 0u);
+    EXPECT_EQ(resumed.value().resumedFromJob % 1000, 0u);
+    expectSameResult(plain, resumed.value());
+
+    persist::StateWriter plain_state, resumed_state;
+    ASSERT_TRUE(plain_predictor->saveState(plain_state).ok());
+    ASSERT_TRUE(predictor->saveState(resumed_state).ok());
+    EXPECT_EQ(plain_state.take(), resumed_state.take());
 }
 
 TEST(ReplayCheckpoint, ResumeAfterCompletionIsIdempotent)

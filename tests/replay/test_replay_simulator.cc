@@ -5,8 +5,11 @@
  * identities, and the figure/table probes.
  */
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -289,6 +292,102 @@ TEST(Replay, RejectsBadProbeQuantilesAndWindow)
         auto result = simulator.run(t, predictor, probe);
         ASSERT_FALSE(result.ok());
     }
+}
+
+/** Predictor stub that logs every lifecycle call in order. */
+class CallLog : public ProbePredictor
+{
+  public:
+    void
+    observe(double wait) override
+    {
+        calls.push_back("observe");
+        ProbePredictor::observe(wait);
+    }
+
+    void
+    refit() override
+    {
+        calls.push_back("refit");
+        ProbePredictor::refit();
+    }
+
+    core::QuantileEstimate
+    upperBound() const override
+    {
+        calls.push_back("score");
+        return ProbePredictor::upperBound();
+    }
+
+    core::QuantileEstimate
+    boundAt(double q, bool upper) const override
+    {
+        (void)q;
+        (void)upper;
+        calls.push_back("snapshot");
+        return core::QuantileEstimate::of(
+            static_cast<double>(observed.size()));
+    }
+
+    mutable std::vector<std::string> calls;
+};
+
+TEST(Replay, ReleaseEpochAndSnapshotAtOneInstant)
+{
+    // Job 0 (submit 1000, wait 300) releases at 1300, where the 300 s
+    // epoch clock started at 1000 ticks and the snapshot tick is armed
+    // too. Job 1 arrives at that instant: release, then epoch, then
+    // snapshot must all run before it is scored.
+    trace::Trace t;
+    t.add({1000.0, 300.0, 1, -1.0, ""});
+    t.add({1300.0, 1.0, 1, -1.0, ""});
+    CallLog predictor;
+    ReplayProbe probe;
+    probe.seriesBegin = 1300.0;
+    probe.seriesEnd = 1301.0;
+    probe.snapshotInterval = 1000.0;
+    probe.snapshotQuantiles = {{0.5, true}};
+    auto result =
+        ReplaySimulator({300.0, 0.0}).run(t, predictor, probe).value();
+
+    const std::vector<std::string> &calls = predictor.calls;
+    const auto first_score = std::find(calls.begin(), calls.end(), "score");
+    ASSERT_NE(first_score, calls.end());
+    const std::vector<std::string> at_instant(first_score + 1, calls.end());
+    const std::vector<std::string> expected = {"observe", "refit",
+                                               "snapshot", "score"};
+    ASSERT_GE(at_instant.size(), expected.size());
+    EXPECT_EQ(std::vector<std::string>(at_instant.begin(),
+                                       at_instant.begin() + 4),
+              expected);
+    // The snapshot saw job 0's released wait.
+    ASSERT_EQ(result.snapshots.size(), 1u);
+    EXPECT_EQ(result.snapshots[0].time, 1300.0);
+    EXPECT_EQ(result.snapshots[0].values, std::vector<double>{1.0});
+    EXPECT_EQ(result.evaluatedJobs, 2u);
+}
+
+TEST(Replay, ProgressReportsEveryIntervalAcrossChunks)
+{
+    // An interval that does not divide the core's chunk size still
+    // reports after exactly every multiple, then once at the end.
+    const size_t every = ReplaySimulator::kChunkJobs / 3 + 1;
+    auto t = simpleTrace(2 * ReplaySimulator::kChunkJobs + 5, 10.0, 1.0);
+    std::vector<size_t> seen;
+    ReplayConfig config{300.0, 0.10};
+    config.progressEveryJobs = every;
+    config.onProgress = [&](const ReplayProgress &p) {
+        seen.push_back(p.jobsProcessed);
+        EXPECT_EQ(p.totalJobs, t.size());
+        EXPECT_LE(p.evaluated, p.jobsProcessed);
+    };
+    ProbePredictor predictor;
+    ASSERT_TRUE(ReplaySimulator(config).run(t, predictor).ok());
+    std::vector<size_t> expected;
+    for (size_t n = every; n <= t.size(); n += every)
+        expected.push_back(n);
+    expected.push_back(t.size());
+    EXPECT_EQ(seen, expected);
 }
 
 TEST(Replay, EmptyTrace)

@@ -279,6 +279,65 @@ TEST(StreamParity, SingleQueueZeroCopyPath)
                 /*thread_counts=*/{1, 4});
 }
 
+TEST(StreamParity, InMemoryEngineMatchesSimulatorPerQueue)
+{
+    const auto t = parityTrace(2400);
+    ReplayConfig replay_config;
+    std::vector<std::string> queues = t.queueNames();
+    std::vector<ScalarExpectation> expected;
+    for (const auto &queue : queues) {
+        expected.push_back(
+            runScalar(filterByQueue(t, queue), "lognormal-trim",
+                      replay_config));
+    }
+    for (size_t batch_size : {size_t(97), size_t(1) << 16}) {
+        for (long long threads : {1, 2, 8}) {
+            StreamReplayConfig config;
+            config.batchSize = batch_size;
+            config.threads = threads;
+            auto outcome = replayTrace(TraceCells(t, queues),
+                                       "lognormal-trim", {}, config);
+            ASSERT_TRUE(outcome.ok()) << outcome.error().str();
+            const std::string context =
+                "batch=" + std::to_string(batch_size) +
+                " threads=" + std::to_string(threads);
+            EXPECT_EQ(outcome.value().totalJobs, t.size()) << context;
+            ASSERT_EQ(outcome.value().queues.size(), queues.size());
+            for (size_t q = 0; q < queues.size(); ++q) {
+                EXPECT_EQ(outcome.value().queues[q].queue, queues[q]);
+                expectQueueParity(outcome.value().queues[q], expected[q],
+                                  context + " queue=" + queues[q]);
+            }
+        }
+    }
+}
+
+TEST(StreamParity, InMemoryCellsFollowFilterRules)
+{
+    // The empty name selects every job (Trace::filterByQueue), and
+    // by_procs cuts each queue by the paper's processor ranges.
+    const auto t = parityTrace(1800);
+    const std::vector<std::string> queues = {"", "batch"};
+    StreamReplayConfig config;
+    config.threads = 2;
+    auto outcome =
+        replayTrace(TraceCells(t, queues, true), "bmbp", {}, config);
+    ASSERT_TRUE(outcome.ok()) << outcome.error().str();
+    const size_t ranges = trace::paperProcRangeCount();
+    ASSERT_EQ(outcome.value().queues.size(), queues.size() * ranges);
+    for (size_t q = 0; q < queues.size(); ++q) {
+        for (size_t r = 0; r < ranges; ++r) {
+            const trace::Trace cell = t.filterByQueue(queues[q])
+                                          .filterByProcRange(
+                                              trace::paperProcRanges()[r]);
+            expectQueueParity(outcome.value().queues[q * ranges + r],
+                              runScalar(cell, "bmbp", {}),
+                              "queue=" + queues[q] +
+                                  " range=" + std::to_string(r));
+        }
+    }
+}
+
 TEST(StreamParity, EmptyStream)
 {
     const std::string dir = scratchDir("empty");

@@ -12,6 +12,7 @@
  * must trip the binomial failing flag.
  */
 
+#include <algorithm>
 #include <cmath>
 #include <random>
 #include <string>
@@ -22,7 +23,7 @@
 #include "obs/calibration.hh"
 #include "persist/state_codec.hh"
 #include "serve/bound_registry.hh"
-#include "stats/special_functions.hh"
+#include "stats/calibration.hh"
 
 namespace qdel {
 namespace serve {
@@ -56,25 +57,36 @@ makeEvent(EventKind kind, uint64_t job, double time)
 
 TEST(CalibrationMath, BinomialTailMatchesTheStatsOracle)
 {
-    // The obs layer reimplements the binomial CDF (it sits below
-    // qdel_stats in the dependency order); the two must agree to
-    // floating-point noise across small and large n.
+    // The verdict's p-value is stats::binomialCdf; it must agree with
+    // an exact log-space summation of the pmf to floating-point noise
+    // across small and large n.
+    const auto oracle = [](long long k, long long n, double p) {
+        double sum = 0.0;
+        for (long long i = 0; i <= k; ++i) {
+            const double di = static_cast<double>(i);
+            const double dn = static_cast<double>(n);
+            sum += std::exp(std::lgamma(dn + 1.0) - std::lgamma(di + 1.0) -
+                            std::lgamma(dn - di + 1.0) + di * std::log(p) +
+                            (dn - di) * std::log1p(-p));
+        }
+        return std::min(1.0, sum);
+    };
     for (const long long n : {1LL, 7LL, 50LL, 256LL, 1000LL}) {
         for (const double p : {0.05, 0.5, 0.9, 0.95, 0.99}) {
             for (long long k = 0; k <= n; k += std::max(1LL, n / 17)) {
-                const double ours = obs::binomialTailBelow(
-                    static_cast<uint64_t>(k), static_cast<uint64_t>(n),
-                    p);
-                const double oracle = stats::binomialCdf(k, n, p);
-                EXPECT_NEAR(ours, oracle, 1e-9)
+                const double ours =
+                    stats::assessCalibration(static_cast<size_t>(k),
+                                             static_cast<size_t>(n), p)
+                        .pValue;
+                EXPECT_NEAR(ours, oracle(k, n, p), 1e-9)
                     << "k=" << k << " n=" << n << " p=" << p;
             }
         }
     }
-    EXPECT_EQ(obs::binomialTailBelow(0, 0, 0.5), 1.0);
-    EXPECT_EQ(obs::binomialTailBelow(5, 5, 0.5), 1.0);
-    EXPECT_EQ(obs::binomialTailBelow(0, 10, 0.0), 1.0);
-    EXPECT_EQ(obs::binomialTailBelow(9, 10, 1.0), 0.0);
+    EXPECT_EQ(stats::assessCalibration(0, 0, 0.5).pValue, 1.0);
+    EXPECT_EQ(stats::assessCalibration(5, 5, 0.5).pValue, 1.0);
+    EXPECT_EQ(stats::assessCalibration(0, 10, 0.0).pValue, 1.0);
+    EXPECT_EQ(stats::assessCalibration(9, 10, 1.0).pValue, 0.0);
 }
 
 TEST(CalibrationMath, WindowRingWrapsAndSerializes)
@@ -111,12 +123,12 @@ TEST(CalibrationMath, WindowRingWrapsAndSerializes)
 TEST(CalibrationMath, AssessOnlyFlagsWithEvidence)
 {
     // Below the sample floor nothing fails, however bad the coverage.
-    EXPECT_FALSE(obs::assessCalibration(0, 49, 0.95).failing);
+    EXPECT_FALSE(stats::assessCalibration(0, 49, 0.95).failing);
     // A perfectly calibrated window is clean.
-    EXPECT_FALSE(obs::assessCalibration(95, 100, 0.95).failing);
+    EXPECT_FALSE(stats::assessCalibration(95, 100, 0.95).failing);
     // Half coverage claiming 0.95 over 100 samples is overwhelming
     // evidence of miscalibration.
-    const auto verdict = obs::assessCalibration(50, 100, 0.95);
+    const auto verdict = stats::assessCalibration(50, 100, 0.95);
     EXPECT_TRUE(verdict.failing);
     EXPECT_LT(verdict.pValue, 1e-3);
     EXPECT_NEAR(verdict.coverage, 0.5, 1e-12);

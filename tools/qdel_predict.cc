@@ -12,35 +12,7 @@
  * (bounded resident memory, any trace size), anything else the
  * native "<submit> <wait> [procs [queue]]" format.
  *
- * Options:
- *   --method=bmbp|lognormal|lognormal-trim|loguniform|percentile
- *   --quantile=0.95 --confidence=0.95
- *   --epoch=300 --train=0.10
- *   --queue=NAME       evaluate one queue (default: each in turn)
- *   --by-procs         additionally subdivide by the paper's ranges
- *   --min-jobs=1000    drop subdivisions smaller than this
- *   --live             print the final bound a user would see now
- *   --strict           fail on the first malformed trace line (default)
- *   --lenient          skip malformed lines, report an ingest summary
- *   --threads=N        parse worker threads (default 1; 0 = auto)
- *   --trace-cache[=D]  maintain a binary ".qtc" cache of the parsed
- *                      trace (in D, default: next to the source) and
- *                      load from it when fresh
- *   --verbose          verbose logging (includes the ingest report)
- *   --checkpoint-dir=D persist predictor + replay state into D so a
- *                      killed run can be resumed (single queue only)
- *   --checkpoint-every=5000  jobs between snapshots
- *   --resume           recover from the checkpoint directory's newest
- *                      usable state instead of failing on existing state
- *   --metrics-out=F    write a metrics dump on exit (Prometheus text
- *                      exposition, or JSON when F ends in ".json")
- *   --events-out=F     write the event trace on exit (Chrome
- *                      trace_event JSON; JSON Lines when F ends in
- *                      ".jsonl")
- *   --stats-every=N    print a progress line with rate + ETA every N
- *                      replayed jobs (see README for the format)
- *   --batch-size=N     rows per streamed batch (columnar input only;
- *                      default 65536)
+ * Options: see usage() (--help), the one list of them.
  *
  * Exit status: 0 on success, 1 on input errors.
  */
@@ -79,6 +51,15 @@ usage(std::ostream &out)
            "                    [--checkpoint-dir=DIR "
            "[--checkpoint-every=5000] [--resume]]\n"
            "\n"
+           "  --method    bmbp|bmbp-notrim|lognormal|lognormal-trim|"
+           "loguniform|percentile\n"
+           "  --queue     evaluate one queue (default: each in turn)\n"
+           "  --by-procs  subdivide each queue by the paper's processor "
+           "ranges,\n"
+           "              dropping cells under --min-jobs=1000 jobs\n"
+           "  --live      print the final bound a user would see now\n"
+           "  --threads   parse and replay worker threads (default 1; "
+           "0 = auto)\n"
            "  --strict    fail on the first malformed trace line "
            "(default)\n"
            "  --lenient   skip malformed lines and print a per-load "
@@ -112,20 +93,16 @@ usage(std::ostream &out)
            "65536)\n";
 }
 
-/**
- * Stateful progress printer for --stats-every: one meter per replay
- * run (a jobs-processed counter that moved backwards means a new
- * queue's replay started).
- */
+/** Stateful progress printer for --stats-every: one meter for the
+ *  run's replay, over all its queues. */
 class ProgressPrinter
 {
   public:
     void
     operator()(const sim::ReplayProgress &p)
     {
-        if (!meter_ || p.jobsProcessed < last_)
+        if (!meter_)
             meter_ = std::make_shared<obs::ProgressMeter>(p.totalJobs);
-        last_ = p.jobsProcessed;
         meter_->update(p.jobsProcessed);
         const double hit_rate =
             p.evaluated > 0 ? static_cast<double>(p.correct) /
@@ -148,7 +125,6 @@ class ProgressPrinter
     // shared_ptr, not unique_ptr: the printer is stored in a
     // std::function, which requires a copyable callable.
     std::shared_ptr<obs::ProgressMeter> meter_;
-    size_t last_ = 0;
 };
 
 /** True for ".qtc" / ".qtcs" paths (case-insensitive). */
@@ -177,6 +153,33 @@ printIngestReport(const trace::IngestReport &report)
                   << report.malformedLines - report.errors.size()
                   << " more malformed lines\n";
     }
+}
+
+/** Print a row per queue of two or more jobs, flagging a correct
+ *  fraction below the quantile; every replay path prints here. */
+void
+printResults(const std::string &title,
+             const std::vector<sim::QueueStreamResult> &queues,
+             double quantile)
+{
+    TablePrinter results(title);
+    results.setHeader({"queue", "jobs", "evaluated", "correct",
+                       "median actual/pred", "trims"});
+    for (const auto &qr : queues) {
+        const sim::ReplayResult &r = qr.result;
+        if (r.totalJobs < 2)
+            continue;
+        std::string correct = TablePrinter::cell(r.correctFraction, 3);
+        if (!sim::meetsQuantile(r.correctFraction, quantile))
+            correct = TablePrinter::flagged(correct);
+        results.addRow(
+            {qr.queue.empty() ? "(all)" : qr.queue,
+             TablePrinter::cell(static_cast<long long>(r.totalJobs)),
+             TablePrinter::cell(static_cast<long long>(r.evaluatedJobs)),
+             correct, TablePrinter::cellSci(r.medianRatio, 2),
+             TablePrinter::cell(static_cast<long long>(qr.trims))});
+    }
+    results.print(std::cout);
 }
 
 } // namespace
@@ -291,9 +294,20 @@ main(int argc, char **argv)
         return 1;
     }
 
+    // One rare-event table serves every predictor of the run.
+    core::RareEventTable table(options.quantile, 0.05);
+    options.rareEventTable = &table;
+
+    sim::StreamReplayConfig stream_config;
+    stream_config.epochSeconds = replay.epochSeconds;
+    stream_config.trainFraction = replay.trainFraction;
+    stream_config.batchSize = static_cast<size_t>(batch_size);
+    stream_config.threads = threads;
+    const std::string title = "qdel-predict: " + method + " on " + path;
+
     // Columnar input (a ".qtcs" shard-set manifest or a single ".qtc"
     // image) takes the out-of-core path: stream batches through the
-    // batched SoA evaluator instead of materializing a Trace.
+    // multi-queue engine instead of materializing a Trace.
     if (isColumnarPath(path)) {
         for (const char *flag : {"by-procs", "live", "checkpoint-dir",
                                  "trace-cache", "lenient"}) {
@@ -314,48 +328,19 @@ main(int argc, char **argv)
         inform("streaming ", reader.value().jobCount(), " jobs in ",
                reader.value().shardCount(), " shards from ", path);
 
-        sim::StreamReplayConfig stream_config;
-        stream_config.epochSeconds = replay.epochSeconds;
-        stream_config.trainFraction = replay.trainFraction;
-        stream_config.batchSize = static_cast<size_t>(batch_size);
-        stream_config.threads = threads == 1 ? 1 : threads;
         auto outcome = sim::replayStream(reader.value(), method, options,
                                          stream_config);
         if (!outcome.ok()) {
             std::cerr << "error: " << outcome.error().str() << "\n";
             return 1;
         }
-        const sim::StreamReplayResult &stream = outcome.value();
-
-        TablePrinter results("qdel-predict: " + method + " on " + path +
-                             " (streamed)");
-        results.setHeader({"queue", "jobs", "evaluated", "correct",
-                           "median actual/pred", "trims"});
-        const std::string only_queue = cli.getString("queue", "");
-        for (const auto &qr : stream.queues) {
-            if (cli.has("queue") && qr.queue != only_queue)
-                continue;
-            const sim::ReplayResult &r = qr.result;
-            if (r.totalJobs < 2)
-                continue;
-            std::string correct =
-                TablePrinter::cell(r.correctFraction, 3);
-            // Same two-decimal rounding rule as EvalCell::correct().
-            const double rounded =
-                static_cast<double>(static_cast<long long>(
-                    r.correctFraction * 100.0 + 0.5)) /
-                100.0;
-            if (r.evaluatedJobs > 0 && rounded < options.quantile)
-                correct = TablePrinter::flagged(correct);
-            results.addRow(
-                {qr.queue.empty() ? "(all)" : qr.queue,
-                 TablePrinter::cell(static_cast<long long>(r.totalJobs)),
-                 TablePrinter::cell(
-                     static_cast<long long>(r.evaluatedJobs)),
-                 correct, TablePrinter::cellSci(r.medianRatio, 2),
-                 TablePrinter::cell(static_cast<long long>(qr.trims))});
+        sim::StreamReplayResult &stream = outcome.value();
+        if (cli.has("queue")) {
+            std::erase_if(stream.queues, [&](const auto &qr) {
+                return qr.queue != cli.getString("queue", "");
+            });
         }
-        results.print(std::cout);
+        printResults(title + " (streamed)", stream.queues, options.quantile);
         std::cerr << "stream: " << stream.totalJobs << " jobs, "
                   << stream.batches << " batches, " << stream.shards
                   << " shards, peak rss "
@@ -387,9 +372,6 @@ main(int argc, char **argv)
         std::cerr << "error: trace '" << path << "' contains no jobs\n";
         return 1;
     }
-
-    core::RareEventTable table(options.quantile, 0.05);
-    options.rareEventTable = &table;
 
     std::vector<std::string> queues;
     if (cli.has("queue"))
@@ -427,91 +409,70 @@ main(int argc, char **argv)
             std::cerr << "recovery: resumed at job " << r.resumedFromJob
                       << " of " << r.totalJobs << "\n";
         }
-        TablePrinter table("qdel-predict: " + method + " on " + path +
-                           " (checkpointed)");
-        table.setHeader({"queue", "jobs", "evaluated", "correct",
-                         "median actual/pred", "trims"});
-        std::string correct = TablePrinter::cell(r.correctFraction, 3);
-        table.addRow(
-            {queues[0].empty() ? "(all)" : queues[0],
-             TablePrinter::cell(static_cast<long long>(r.totalJobs)),
-             TablePrinter::cell(static_cast<long long>(r.evaluatedJobs)),
-             correct, TablePrinter::cellSci(r.medianRatio, 2),
-             TablePrinter::cell(static_cast<long long>(
-                 sim::predictorTrimCount(*predictor)))});
-        table.print(std::cout);
+        printResults(title + " (checkpointed)",
+                     {{queues[0], r, sim::predictorTrimCount(*predictor)}},
+                     options.quantile);
         writeObsOutputs(obs_flags);
         return 0;
     }
 
-    TablePrinter results("qdel-predict: " + method + " on " + path);
-    if (cliValue(cli.getBool("by-procs", false))) {
+    const bool by_procs = cliValue(cli.getBool("by-procs", false));
+    auto outcome = sim::replayTrace(sim::TraceCells(trace, queues, by_procs),
+                                    method, options, stream_config,
+                                    replay.progressEveryJobs,
+                                    replay.onProgress);
+    if (!outcome.ok()) {
+        std::cerr << "error: " << outcome.error().str() << "\n";
+        return 1;
+    }
+    const auto &cells = outcome.value().queues;
+    if (by_procs) {
+        TablePrinter results(title);
         results.setHeader({"queue", "1-4", "5-16", "17-64", "65+"});
-        for (const auto &queue : queues) {
-            auto subdivided = trace.filterByQueue(queue);
-            auto cells = sim::evaluateByProcRange(subdivided, method,
-                                                  options, replay,
-                                                  min_jobs);
-            std::vector<std::string> row = {queue.empty() ? "(all)"
-                                                          : queue};
-            for (const auto &cell : cells) {
-                if (cell.evaluated == 0) {
-                    row.push_back("-");
-                    continue;
-                }
-                std::string text =
-                    TablePrinter::cell(cell.correctFraction, 2);
-                row.push_back(cell.correct(options.quantile)
-                                  ? text
-                                  : TablePrinter::flagged(text));
+        const auto ranges =
+            static_cast<size_t>(trace::paperProcRangeCount());
+        for (size_t q = 0; q < queues.size(); ++q) {
+            std::vector<std::string> row = {
+                queues[q].empty() ? "(all)" : queues[q]};
+            for (size_t c = q * ranges; c < (q + 1) * ranges; ++c) {
+                const sim::ReplayResult &r = cells[c].result;
+                const std::string text =
+                    TablePrinter::cell(r.correctFraction, 2);
+                row.push_back(
+                    r.totalJobs < min_jobs || r.evaluatedJobs == 0 ? "-"
+                    : sim::meetsQuantile(r.correctFraction, options.quantile)
+                        ? text
+                        : TablePrinter::flagged(text));
             }
             results.addRow(std::move(row));
         }
+        results.print(std::cout);
     } else {
-        results.setHeader({"queue", "jobs", "evaluated", "correct",
-                           "median actual/pred", "trims"});
-        for (const auto &queue : queues) {
-            auto subdivided = trace.filterByQueue(queue);
-            if (subdivided.size() < 2)
-                continue;
-            auto cell =
-                sim::evaluateTrace(subdivided, method, options, replay);
-            std::string correct =
-                TablePrinter::cell(cell.correctFraction, 3);
-            if (!cell.correct(options.quantile))
-                correct = TablePrinter::flagged(correct);
-            results.addRow(
-                {queue.empty() ? "(all)" : queue,
-                 TablePrinter::cell(static_cast<long long>(cell.jobs)),
-                 TablePrinter::cell(
-                     static_cast<long long>(cell.evaluated)),
-                 correct, TablePrinter::cellSci(cell.medianRatio, 2),
-                 TablePrinter::cell(
-                     static_cast<long long>(cell.trims))});
-        }
+        printResults(title, cells, options.quantile);
     }
-    results.print(std::cout);
 
     if (cliValue(cli.getBool("live", false))) {
         // The bound a user submitting *after the log ends* would see:
         // feed the full history, refit once.
         std::cout << "\nlive bounds (full history):\n";
-        for (const auto &queue : queues) {
-            auto subdivided = trace.filterByQueue(queue);
-            auto predictor = core::makePredictor(method, options);
-            for (const auto &job : subdivided)
-                predictor->observe(job.waitSeconds);
-            predictor->refit();
-            const auto bound = predictor->upperBound();
-            std::cout << "  " << (queue.empty() ? "(all)" : queue)
-                      << ": ";
-            if (bound.finite()) {
-                std::cout << formatDuration(bound.value) << " ("
-                          << TablePrinter::cell(bound.value, 0)
-                          << " s)\n";
-            } else {
-                std::cout << "insufficient history\n";
-            }
+        std::vector<std::unique_ptr<core::Predictor>> predictors;
+        for (size_t q = 0; q < queues.size(); ++q)
+            predictors.push_back(core::makePredictor(method, options));
+        sim::TraceCells(trace, queues)
+            .forEach([&](size_t q, const trace::JobRecord &job) {
+                predictors[q]->observe(job.waitSeconds);
+            });
+        for (size_t q = 0; q < queues.size(); ++q) {
+            predictors[q]->refit();
+            const auto bound = predictors[q]->upperBound();
+            std::cout << "  " << (queues[q].empty() ? "(all)" : queues[q])
+                      << ": "
+                      << (bound.finite()
+                              ? formatDuration(bound.value) + " (" +
+                                    TablePrinter::cell(bound.value, 0) +
+                                    " s)"
+                              : "insufficient history")
+                      << "\n";
         }
     }
     writeObsOutputs(obs_flags);
